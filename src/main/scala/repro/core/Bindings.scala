@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import repro.sparql.{Const, FilterExpr, FilterEval, TriplePattern, Var}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.sparql.{Const, FilterExpr, FilterEval, Query, TriplePattern, Var}
 
 /** RDD-level solution-binding algebra shared by the RDD-based engines
   * (SPARQLGX, HAQWA, SparkRDF, and the GraphX engines' assembly phase).
@@ -80,5 +81,24 @@ object Bindings {
     parts.tail.foldLeft(parts.head) { case ((acc, accVars), (next, nextVars)) =>
       (join(acc, accVars, next, nextVars), accVars ++ nextVars)
     }._1
+  }
+
+  /** BGP+ evaluation over RDD bindings: per UNION branch, the required BGP,
+    * then its filters, then each OPTIONAL as a left join on the variables
+    * bound so far; then the union, `Results.toDf` and the modifiers.
+    */
+  def evaluate(q: Query, matchBgp: Vector[TriplePattern] => RDD[Binding]): DataFrame = {
+    val branches = q.groups.map { g =>
+      var acc = applyFilters(matchBgp(g.patterns), g.filters)
+      var accVars = g.requiredVars.toSet
+      for (opt <- g.optionals) {
+        val optVars = opt.flatMap(_.vars).toSet
+        acc = leftJoin(acc, matchBgp(opt), (accVars intersect optVars).toSeq.sorted)
+        accVars ++= optVars
+      }
+      acc
+    }
+    val df = Results.toDf(SparkSession.active, branches.reduce(_ union _), q.resultVars)
+    Results.applyModifiers(df, q)
   }
 }

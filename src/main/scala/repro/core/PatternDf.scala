@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.sparql.{Const, TriplePattern, Var}
+import repro.sparql.{Const, Query, SqlFilter, TriplePattern, Var}
 
 /** DataFrame-level triple-pattern algebra shared by the DataFrame / SQL /
   * GraphFrames engines.
@@ -44,5 +44,19 @@ object PatternDf {
     val shared = l.columns.toSeq intersect r.columns.toSeq
     require(shared.nonEmpty, "OPTIONAL without shared variables is unsupported")
     l.join(r, shared, "left_outer")
+  }
+
+  /** BGP+ evaluation over DataFrames, in the same order as
+    * [[Bindings.evaluate]]; FILTER becomes the SQL [[SqlFilter]] renders,
+    * and a UNION branch that lacks a result variable gets a null column.
+    */
+  def evaluate(q: Query, matchBgp: Vector[TriplePattern] => DataFrame): DataFrame = {
+    val branches = q.groups.map { g =>
+      var df = matchBgp(g.patterns)
+      g.filters.foreach(f => df = df.where(SqlFilter.toSql(f, v => s"`$v`")))
+      g.optionals.foreach(opt => df = leftJoinBindings(df, matchBgp(opt)))
+      df.select(q.resultVars.map(v => (if (df.columns.contains(v)) col(v) else lit(null)).as(v)): _*)
+    }
+    Results.applyModifiers(branches.reduce(_ unionAll _), q)
   }
 }

@@ -24,7 +24,7 @@ final class ReferenceEngine extends SparqlEngine {
   )
 
   private var triples: DataFrame = _
-  private val viewName = "triples_ref"
+  private val viewName = s"${viewPrefix}triples"
 
   override def load(df: DataFrame): Unit = {
     triples = df.cache()
@@ -32,6 +32,6 @@ final class ReferenceEngine extends SparqlEngine {
     triples.count() // materialize
   }
 
-  override def execute(q: Query): DataFrame =
+  protected def evaluate(q: Query): DataFrame =
     triples.sparkSession.sql(ReferenceSql.toSql(q, viewName))
 }

@@ -21,7 +21,7 @@ import repro.sparql._
   *
   * Fragment: BGP (Table II).
   */
-final class GFramesEngine extends SparqlEngine {
+final class GFramesEngine extends DataFrameBgpEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[4]",
@@ -43,9 +43,7 @@ final class GFramesEngine extends SparqlEngine {
       .map(r => r.getString(0) -> r.getLong(1)).toMap
   }
 
-  override def execute(q: Query): DataFrame = {
-    require(supports(q), s"${info.name} supports plain BGP only")
-    val ps = q.groups.head.patterns
+  protected def matchBgp(ps: Vector[TriplePattern]): DataFrame = {
     // optimization 1: non-descending predicate frequency (rarest first)
     val ordered = ps.sortBy(tp =>
       tp.predConst.map(p => predFreq.getOrElse(p, 0L)).getOrElse(predFreq.values.sum))
@@ -55,6 +53,6 @@ final class GFramesEngine extends SparqlEngine {
       if (ps.forall(_.p.isVar == false))
         gf.pruneTo(ps.flatMap(_.predConst).toSet)
       else gf
-    Results.applyModifiers(target.find(ordered), q)
+    target.find(ordered)
   }
 }

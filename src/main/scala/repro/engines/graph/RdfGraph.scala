@@ -1,6 +1,6 @@
 package repro.engines.graph
 
-import org.apache.spark.graphx.{Edge, Graph, VertexId}
+import org.apache.spark.graphx.{Edge, Graph}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 
@@ -10,13 +10,7 @@ import org.apache.spark.storage.StorageLevel
   * vertex attribute = the subject/object URI or literal, edge attribute =
   * the predicate. Shared by the three GraphX engines.
   */
-final case class RdfGraph(
-    graph: Graph[String, String],
-    idOf: Map[String, VertexId],
-) {
-  def valueOf(id: VertexId): String = values(id)
-  lazy val values: Map[VertexId, String] = idOf.map(_.swap)
-}
+final case class RdfGraph(graph: Graph[String, String])
 
 object RdfGraph {
 
@@ -43,6 +37,6 @@ object RdfGraph {
     val graph = Graph(vertices, edges, defaultVertexAttr = null.asInstanceOf[String],
       edgeStorageLevel = StorageLevel.MEMORY_AND_DISK,
       vertexStorageLevel = StorageLevel.MEMORY_AND_DISK)
-    RdfGraph(graph, values)
+    RdfGraph(graph)
   }
 }

@@ -21,7 +21,7 @@ import repro.sparql._
   *   - after all BGP triples are evaluated, the **final MT tables of the
   *     end vertices are joined** to produce the query answer.
   */
-final class SubgraphMatch extends SparqlEngine {
+final class SubgraphMatch extends RddBgpEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[16]",
@@ -56,9 +56,8 @@ final class SubgraphMatch extends SparqlEngine {
     out.result()
   }
 
-  override def execute(q: Query): DataFrame = {
-    require(supports(q), s"${info.name} supports plain BGP only")
-    val tps = connectedOrder(q.groups.head.patterns)
+  protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
+    val tps = connectedOrder(ps)
 
     // one aggregateMessages round per BGP triple: sendMsg matches the
     // pattern against every graph triple and ships the binding to the
@@ -87,8 +86,6 @@ final class SubgraphMatch extends SparqlEngine {
       }
 
     // "join the final MT tables of the end vertices" for the answer
-    val result = Bindings.joinAll(groupTables)
-    val session = org.apache.spark.sql.SparkSession.active
-    Results.applyModifiers(Results.toDf(session, result, q.resultVars), q)
+    Bindings.joinAll(groupTables)
   }
 }

@@ -1,8 +1,9 @@
 package repro.engines.haqwa
 
 import org.apache.spark.HashPartitioner
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 import repro.core._
 import repro.core.Bindings.Binding
@@ -25,12 +26,11 @@ import repro.sparql._
   *     (star fragments); a seed fragment anchors evaluation; SPARQL maps
   *     onto the RDD API (join / filter / count).
   *
-  * Queries canonically equal to a workload query run fully partition-local
-  * (base + replicated triples, zipPartitions); all other queries fall back
+  * BGPs canonically equal to a workload query run fully partition-local
+  * (base + replicated triples, zipPartitions); all other BGPs fall back
   * to locally-evaluated star fragments joined with shuffles.
   */
-final class Haqwa(workload: Seq[Query] = Seq.empty, numPartitions: Int = 16)
-    extends SparqlEngine {
+final class Haqwa(workload: Seq[Query] = Seq.empty) extends RddBgpEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[7]",
@@ -45,9 +45,10 @@ final class Haqwa(workload: Seq[Query] = Seq.empty, numPartitions: Int = 16)
 
   import Haqwa.{ETerm, ETp, matchLocal}
 
-  private var spark: SparkSession = _
   private var dict: Dictionary = _
-  private var partitioner: HashPartitioner = _
+  /** id → value, broadcast once per load for decoding results. */
+  private var values: Broadcast[Map[Long, String]] = _
+  private val partitioner = new HashPartitioner(16)
   /** Base fragments: triples keyed by subject id, hash-partitioned. */
   private var base: RDD[(Long, (Long, Long))] = _
   /** Workload-replicated triples, keyed by the *seed* subject that needs them. */
@@ -67,9 +68,9 @@ final class Haqwa(workload: Seq[Query] = Seq.empty, numPartitions: Int = 16)
   }
 
   override def load(triples: DataFrame): Unit = {
-    spark = triples.sparkSession
+    val sc = triples.sparkSession.sparkContext
     dict = Dictionary.encode(triples)
-    partitioner = new HashPartitioner(numPartitions)
+    values = sc.broadcast(dict.valueOf)
     base = dict.encoded
       .map { case (s, p, o) => (s, (p, o)) }
       .partitionBy(partitioner)
@@ -107,7 +108,7 @@ final class Haqwa(workload: Seq[Query] = Seq.empty, numPartitions: Int = 16)
       }
     }
     replicated =
-      (if (replParts.isEmpty) spark.sparkContext.emptyRDD[(Long, (Long, Long, Long))]
+      (if (replParts.isEmpty) sc.emptyRDD[(Long, (Long, Long, Long))]
        else replParts.reduce(_ union _))
         .partitionBy(partitioner)
         .persist(StorageLevel.MEMORY_AND_DISK)
@@ -130,8 +131,8 @@ final class Haqwa(workload: Seq[Query] = Seq.empty, numPartitions: Int = 16)
   }
 
   private def decode(rdd: RDD[Map[String, Long]]): RDD[Binding] = {
-    val values = spark.sparkContext.broadcast(dict.valueOf)
-    rdd.map(_.map { case (k, id) => k -> values.value(id) })
+    val vs = values // local copy: closures must not capture the engine
+    rdd.map(_.map { case (k, id) => k -> vs.value(id) })
   }
 
   /** Star fragment → bindings, evaluated inside each partition (subjects
@@ -139,7 +140,7 @@ final class Haqwa(workload: Seq[Query] = Seq.empty, numPartitions: Int = 16)
     */
   private def evalFragmentLocally(frag: Seq[TriplePattern]): RDD[Binding] = {
     encodeAll(frag) match {
-      case None => spark.sparkContext.emptyRDD[Binding]
+      case None => base.sparkContext.emptyRDD[Binding]
       case Some(eps) =>
         val enc = base.mapPartitions { it =>
           val bySubj = it.toSeq.groupMap(_._1)(_._2)
@@ -159,7 +160,7 @@ final class Haqwa(workload: Seq[Query] = Seq.empty, numPartitions: Int = 16)
     */
   private def evalWorkloadLocally(ps: Seq[TriplePattern]): RDD[Binding] = {
     encodeAll(fragments(ps).flatten) match {
-      case None => spark.sparkContext.emptyRDD[Binding]
+      case None => base.sparkContext.emptyRDD[Binding]
       case Some(eps) =>
         val enc = base.zipPartitions(replicated, preservesPartitioning = true) {
           (baseIt, replIt) =>
@@ -176,32 +177,12 @@ final class Haqwa(workload: Seq[Query] = Seq.empty, numPartitions: Int = 16)
     }
   }
 
-  private def evalGroup(g: BasicGroup): RDD[Binding] = {
-    val isWorkload = g.filters.isEmpty && g.optionals.isEmpty &&
-      workloadShapes.contains(canonical(g.patterns))
-    var acc: RDD[Binding] =
-      if (isWorkload) evalWorkloadLocally(g.patterns)
-      else {
-        val frags = fragments(g.patterns)
-        val parts = frags.map(f => (evalFragmentLocally(f), f.flatMap(_.vars).toSet))
-        Bindings.joinAll(parts)
-      }
-    acc = Bindings.applyFilters(acc, g.filters)
-    var accVars = g.requiredVars.toSet
-    for (opt <- g.optionals) {
-      val optFrags = fragments(opt)
-      val optRdd = Bindings.joinAll(optFrags.map(f => (evalFragmentLocally(f), f.flatMap(_.vars).toSet)))
-      val optVars = opt.flatMap(_.vars).toSet
-      acc = Bindings.leftJoin(acc, optRdd, (accVars intersect optVars).toSeq.sorted)
-      accVars ++= optVars
+  protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] =
+    if (workloadShapes.contains(canonical(ps))) evalWorkloadLocally(ps)
+    else {
+      val frags = fragments(ps)
+      Bindings.joinAll(frags.map(f => (evalFragmentLocally(f), f.flatMap(_.vars).toSet)))
     }
-    acc
-  }
-
-  override def execute(q: Query): DataFrame = {
-    val union = q.groups.map(evalGroup).reduce(_ union _)
-    Results.applyModifiers(Results.toDf(spark, union, q.resultVars), q)
-  }
 }
 
 /** Executor-side helpers: kept on the companion so Spark closures never

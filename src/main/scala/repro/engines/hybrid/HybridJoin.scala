@@ -1,6 +1,6 @@
 package repro.engines.hybrid
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{broadcast, col}
 import repro.core._
 import repro.sparql._
@@ -30,12 +30,12 @@ object HybridJoin {
   case object Broadcast   extends Strategy { val label = "broadcast"   }
   case object Hybrid      extends Strategy { val label = "hybrid"      }
   val AllStrategies: Seq[Strategy] = Seq(SparkSql, Partitioned, Broadcast, Hybrid)
+
+  /** Largest pattern cardinality that is broadcast rather than shuffled. */
+  private val BroadcastThreshold = 10000L
 }
 
-final class HybridJoin(
-    strategy: HybridJoin.Strategy = HybridJoin.Hybrid,
-    broadcastThreshold: Long = 10000L,
-) extends SparqlEngine {
+final class HybridJoin(strategy: HybridJoin.Strategy = HybridJoin.Hybrid) extends SparqlEngine {
   import HybridJoin._
 
   val info: EngineInfo = EngineInfo(
@@ -49,45 +49,41 @@ final class HybridJoin(
     sparqlFragment = "BGP",
   )
 
-  private var spark: SparkSession = _
   private var triples: DataFrame = _
-  private val viewName = "hybrid_triples"
+  private val viewName = s"${viewPrefix}triples"
 
   override def load(df: DataFrame): Unit = {
-    spark = df.sparkSession
     triples = df.repartition(col("s")).cache()
     triples.createOrReplaceTempView(viewName)
     triples.count()
   }
 
-  override def execute(q: Query): DataFrame = executeWith(q, strategy)
+  protected def evaluate(q: Query): DataFrame = PatternDf.evaluate(q, matchBgp(_, strategy))
 
-  def executeWith(q: Query, s: Strategy): DataFrame = {
-    require(supports(q), s"${info.name} supports plain BGP only")
-    val ps = q.groups.head.patterns
-    val df = s match {
-      case SparkSql    => spark.sql(ReferenceSql.toSql(q.copy(
-        projection = Vector.empty, distinct = false,
-        orderBy = Vector.empty, limit = None, offset = None), viewName))
-      case Partitioned =>
-        // the RDD approach: joins "following the order specified by the
-        // input logical query", each a partitioned (shuffle) join
-        ps.map(tp => PatternDf.matchPattern(triples, tp))
-          .reduceLeft((l, r) => PatternDf.joinBindings(l.hint("merge"), r))
-      case Broadcast =>
-        // the DataFrame approach: size-based preference for broadcast joins
-        ps.map { tp =>
-          val part = PatternDf.matchPattern(triples, tp).cache()
-          (part, part.count())
-        }.reduceLeft[(DataFrame, Long)] { case ((l, _), (r, rSize)) =>
-          val joined =
-            if (rSize <= broadcastThreshold) PatternDf.joinBindings(l, broadcast(r))
-            else PatternDf.joinBindings(l, r)
-          (joined, rSize)
-        }._1
-      case Hybrid => hybridPlan(ps)
-    }
-    Results.applyModifiers(df, q)
+  def executeWith(q: Query, s: Strategy): DataFrame =
+    checked(q)(PatternDf.evaluate(q, matchBgp(_, s)))
+
+  private def matchBgp(ps: Vector[TriplePattern], s: Strategy): DataFrame = s match {
+    case SparkSql =>
+      val bgp = Query(Vector.empty, distinct = false, Vector(BasicGroup(ps)))
+      triples.sparkSession.sql(ReferenceSql.toSql(bgp, viewName))
+    case Partitioned =>
+      // the RDD approach: joins "following the order specified by the
+      // input logical query", each a partitioned (shuffle) join
+      ps.map(tp => PatternDf.matchPattern(triples, tp))
+        .reduceLeft((l, r) => PatternDf.joinBindings(l.hint("merge"), r))
+    case Broadcast =>
+      // the DataFrame approach: size-based preference for broadcast joins
+      ps.map { tp =>
+        val part = PatternDf.matchPattern(triples, tp).cache()
+        (part, part.count())
+      }.reduceLeft[(DataFrame, Long)] { case ((l, _), (r, rSize)) =>
+        val joined =
+          if (rSize <= BroadcastThreshold) PatternDf.joinBindings(l, broadcast(r))
+          else PatternDf.joinBindings(l, r)
+        (joined, rSize)
+      }._1
+    case Hybrid => hybridPlan(ps)
   }
 
   /** The hybrid greedy optimizer: start from the most selective pattern;
@@ -109,7 +105,7 @@ final class HybridJoin(
       val next = pool.minBy(_._3)
       remaining -= next
       acc =
-        if (next._3 <= broadcastThreshold) PatternDf.joinBindings(acc, broadcast(next._2))
+        if (next._3 <= BroadcastThreshold) PatternDf.joinBindings(acc, broadcast(next._2))
         else PatternDf.joinBindings(acc.hint("merge"), next._2)
       accVars ++= next._1.varSet
     }

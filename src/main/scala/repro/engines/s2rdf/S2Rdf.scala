@@ -1,6 +1,6 @@
 package repro.engines.s2rdf
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core._
 import repro.sparql._
@@ -26,7 +26,7 @@ import repro.sparql._
   * in three aggregate jobs; table *contents* are materialized lazily and
   * memoized — a laptop-scale concession documented in DESIGN.md.
   */
-final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
+final class S2Rdf(sfThreshold: Double = 0.75) extends DataFrameBgpEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[24]",
@@ -39,9 +39,8 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
     sparqlFragment = "BGP+",
   )
 
-  private var spark: SparkSession = _
   private var triples: DataFrame = _
-  private val triplesView = "s2rdf_triples"
+  private val triplesView = s"${viewPrefix}triples"
   private var vpSizes: Map[String, Long] = Map.empty
   /** (corr, p1, p2) → |ExtVP_corr(p1|p2)| for all predicate pairs. */
   private var extSizes: Map[(String, String, String), Long] = Map.empty
@@ -50,7 +49,6 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
   private def sanitize(p: String): String = p.map(c => if (c.isLetterOrDigit) c else '_')
 
   override def load(df: DataFrame): Unit = {
-    spark = df.sparkSession
     triples = df.cache()
     triples.createOrReplaceTempView(triplesView)
     vpSizes = triples.groupBy("p").count().collect()
@@ -73,12 +71,12 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
       sizes("s", obj).map { case ((a, b), n) => ("SO", a, b) -> n }
   }
 
-  private def vpView(p: String): String = s"vp_${sanitize(p)}"
+  private def vpView(p: String): String = s"${viewPrefix}vp_${sanitize(p)}"
 
   /** Lazily materialize ExtVP_corr(p1|p2) as a temp view; memoized. */
   private def extView(corr: String, p1: String, p2: String): String =
     materialized.getOrElseUpdate((corr, p1, p2), {
-      val name = s"extvp_${corr.toLowerCase}_${sanitize(p1)}__${sanitize(p2)}"
+      val name = s"${viewPrefix}extvp_${corr.toLowerCase}_${sanitize(p1)}__${sanitize(p2)}"
       val left = triples.where(col("p") === p1).select("s", "o")
       val right = triples.where(col("p") === p2)
       val reduced = corr match {
@@ -134,10 +132,8 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
     }.sortBy { case (tp, _, size, _) => (-(tp.terms.count(!_.isVar)), size) }
       .map { case (tp, view, _, hasP) => (tp, view, hasP) }
 
-  /** Compile one conjunctive group (patterns + filters) to a SQL string.
-    * Public for white-box tests and the ExtVP bench.
-    */
-  def groupToSql(ps: Seq[TriplePattern], filters: Seq[FilterExpr]): String = {
+  /** Compile one BGP to a SQL string. Public for white-box tests. */
+  def groupToSql(ps: Seq[TriplePattern]): String = {
     val plan = ordered(ps)
     val colOf = scala.collection.mutable.LinkedHashMap.empty[String, String]
     val conds = Vector.newBuilder[String]
@@ -165,7 +161,6 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
         else from ++= s" JOIN $view $a ON ${jc.mkString(" AND ")}"
       }
     }
-    filters.foreach(f => conds += SqlFilter.toSql(f, colOf.apply))
     val where = conds.result() match {
       case Vector() => ""
       case cs       => s" WHERE ${cs.mkString(" AND ")}"
@@ -174,20 +169,7 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
     s"SELECT $proj FROM ${from.toString}$where"
   }
 
-  private def evalGroup(g: BasicGroup): DataFrame = {
-    var df = spark.sql(groupToSql(g.patterns, g.filters))
-    for (opt <- g.optionals)
-      df = PatternDf.leftJoinBindings(df, spark.sql(groupToSql(opt, Seq.empty)))
-    df
-  }
-
-  override def execute(q: Query): DataFrame = {
-    val dfs = q.groups.map(evalGroup).map { df =>
-      // align schemas for the UNION (all branches bind equal var sets)
-      df.select(q.resultVars.map(v => (if (df.columns.contains(v)) col(v) else lit(null)).as(v)): _*)
-    }
-    Results.applyModifiers(dfs.reduce(_ unionAll _), q)
-  }
+  protected def matchBgp(ps: Vector[TriplePattern]): DataFrame = triples.sparkSession.sql(groupToSql(ps))
 
   /** Exposed for the ExtVP bench: (corr,p1,p2) → (extSize, vpSize). */
   def reductionStats: Map[(String, String, String), (Long, Long)] =

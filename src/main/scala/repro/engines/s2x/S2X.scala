@@ -22,7 +22,7 @@ import repro.sparql._
   *     Spark's data-parallel API, which also implements the BGP+ operators
   *     (OPTIONAL, FILTER, ORDER BY, PROJECTION, LIMIT, OFFSET).
   */
-final class S2X(maxIterations: Int = 30) extends SparqlEngine {
+final class S2X extends RddBgpEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[23]",
@@ -38,15 +38,14 @@ final class S2X(maxIterations: Int = 30) extends SparqlEngine {
   /** Candidate position: (pattern index, 's' or 'o'). */
   private type Pos = (Int, Char)
 
-  import S2X.edgeMatches
+  import S2X.{MaxIterations, edgeMatches}
 
   private var rdf: RdfGraph = _
 
   override def load(triples: DataFrame): Unit = { rdf = RdfGraph.build(triples) }
 
   /** Iterative candidate validation + final assembly for one BGP. */
-  private def matchBgp(tps: Vector[TriplePattern]): RDD[Binding] = {
-    val spark = rdf.graph.vertices.sparkContext
+  protected def matchBgp(tps: Vector[TriplePattern]): RDD[Binding] = {
     // query-level variable→positions map, for the local-consistency rule:
     // a vertex is a candidate for variable x only if it is a candidate at
     // *every* position where x occurs
@@ -67,6 +66,15 @@ final class S2X(maxIterations: Int = 30) extends SparqlEngine {
       cand.filter(p => keptVars.contains(posToVar(p)))
     }
 
+    // the data graph with each vertex's candidate set attached. The new
+    // graph's vertex and edge RDDs come back marked as cached; they are
+    // cheap to recompute from the cached data graph and are never reused
+    // after the query, so the marks are dropped (while no triplet view has
+    // been shipped yet, unpersist reaches both).
+    def withCandidates(c: RDD[(VertexId, Set[Pos])]): Graph[(String, Set[Pos]), String] =
+      rdf.graph.outerJoinVertices(c)((_, value, cs) => (value, cs.getOrElse(Set.empty[Pos])))
+        .unpersist(blocking = false)
+
     // initial match candidates from an independent scan of all patterns
     var cand: RDD[(VertexId, Set[Pos])] = rdf.graph.triplets
       .flatMap { t =>
@@ -85,8 +93,8 @@ final class S2X(maxIterations: Int = 30) extends SparqlEngine {
     var candSize = cand.map(_._2.size.toLong).fold(0L)(_ + _)
     var iter = 0
     var changed = true
-    while (changed && iter < maxIterations) {
-      val g = rdf.graph.outerJoinVertices(cand)((_, value, c) => (value, c.getOrElse(Set.empty[Pos])))
+    while (changed && iter < MaxIterations) {
+      val g = withCandidates(cand)
       // a candidate position survives only if some incident edge supports
       // it with a still-candidate remote end (S2X's validation rule)
       val supported = g.aggregateMessages[Set[Pos]](
@@ -116,6 +124,10 @@ final class S2X(maxIterations: Int = 30) extends SparqlEngine {
         .filter(_._2.nonEmpty)
         .persist(StorageLevel.MEMORY_AND_DISK)
       val nextSize = next.map(_._2.size.toLong).fold(0L)(_ + _)
+      // superseded now that next is materialized (aggregateMessages marked
+      // g's vertices as cached again)
+      cand.unpersist(blocking = false)
+      g.unpersist(blocking = false)
       changed = nextSize != candSize
       cand = next
       candSize = nextSize
@@ -123,7 +135,7 @@ final class S2X(maxIterations: Int = 30) extends SparqlEngine {
     }
 
     // assembly: per pattern, the surviving edge matches, joined data-parallel
-    val g = rdf.graph.outerJoinVertices(cand)((_, value, c) => (value, c.getOrElse(Set.empty[Pos])))
+    val g = withCandidates(cand)
     val parts: Seq[(RDD[Binding], Set[String])] = tps.zipWithIndex.map { case (tp, i) =>
       val bindings = g.triplets.flatMap { t =>
         val (sVal, sCand) = t.srcAttr
@@ -136,31 +148,14 @@ final class S2X(maxIterations: Int = 30) extends SparqlEngine {
     }
     Bindings.joinAll(parts)
   }
-
-  private def evalGroup(g: BasicGroup): RDD[Binding] = {
-    var acc = Bindings.applyFilters(matchBgp(g.patterns), g.filters)
-    var accVars = g.requiredVars.toSet
-    for (opt <- g.optionals) {
-      val optRdd = matchBgp(opt)
-      val optVars = opt.flatMap(_.vars).toSet
-      acc = Bindings.leftJoin(acc, optRdd, (accVars intersect optVars).toSeq.sorted)
-      accVars ++= optVars
-    }
-    acc
-  }
-
-  override def execute(q: Query): DataFrame = {
-    val spark = rdf.graph.vertices.sparkContext
-    val union = q.groups.map(evalGroup).reduce(_ union _)
-    val session = org.apache.spark.sql.SparkSession.active
-    Results.applyModifiers(Results.toDf(session, union, q.resultVars), q)
-  }
 }
 
 /** Executor-side helper on the companion: Spark closures must not capture
   * the engine instance (it holds a non-serializable Graph).
   */
 object S2X {
+  private val MaxIterations = 30
+
   def edgeMatches(tp: TriplePattern, sVal: String, p: String, oVal: String): Boolean =
     (tp.p match { case Const(c) => c == p; case _ => true }) &&
       (tp.s match { case Const(c) => c == sVal; case _ => true }) &&

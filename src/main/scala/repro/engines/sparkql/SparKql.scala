@@ -27,7 +27,7 @@ import repro.sparql._
   * Consequently only tree-shaped BGPs with constant predicates are
   * supported (fragment "BGP" in Table II).
   */
-final class SparKql extends SparqlEngine {
+final class SparKql extends RddBgpEngine {
   import SparKql.extend
 
   val info: EngineInfo = EngineInfo(
@@ -84,9 +84,7 @@ final class SparKql extends SparqlEngine {
   // ---- query plan (BFS tree over object-property patterns) -----------------
   import SparKql.{Plan, TreeNode}
 
-  private def plan(q: Query): Option[Plan] = {
-    if (!q.isPlainBgp) return None
-    val ps = q.groups.head.patterns
+  private def plan(ps: Vector[TriplePattern]): Option[Plan] = {
     if (ps.exists(_.p.isVar) || dataProps == null) return None
     val (dataTps, objTps) = ps.partition(tp => dataProps.contains(tp.predConst.get))
     val dataByTerm = dataTps.groupBy(_.s: Term)
@@ -125,7 +123,7 @@ final class SparKql extends SparqlEngine {
     Some(Plan(tree, dataByTerm))
   }
 
-  override def supports(q: Query): Boolean = plan(q).isDefined
+  override def supports(q: Query): Boolean = q.isPlainBgp && plan(q.groups.head.patterns).isDefined
 
   // ---- bottom-up evaluation ------------------------------------------------
 
@@ -192,12 +190,9 @@ final class SparKql extends SparqlEngine {
     table
   }
 
-  override def execute(q: Query): DataFrame = {
-    val p = plan(q).getOrElse(
-      throw new IllegalArgumentException(s"${info.name} supports tree-shaped BGPs only"))
-    val result = evalNode(p.root, p.dataByTerm).flatMap(_._2)
-    val session = org.apache.spark.sql.SparkSession.active
-    Results.applyModifiers(Results.toDf(session, result, q.resultVars), q)
+  protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
+    val p = plan(ps).get // supports() admitted the query, so a plan exists
+    evalNode(p.root, p.dataByTerm).flatMap(_._2)
   }
 }
 

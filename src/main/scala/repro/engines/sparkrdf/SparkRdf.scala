@@ -31,7 +31,7 @@ import repro.sparql._
   *     data is never read), and on-demand **dynamic pre-partitioning**
   *     hash-partitions operands on the join variable before each join.
   */
-final class SparkRdf(numPartitions: Int = 16) extends SparqlEngine {
+final class SparkRdf extends RddBgpEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[5]",
@@ -53,10 +53,9 @@ final class SparkRdf(numPartitions: Int = 16) extends SparqlEngine {
   /** rdf:type triples in CRC row form, subject classes attached. */
   private var typeRows: RDD[(String, String, String, Set[String], Set[String])] = _
   private var predSizes: Map[String, Long] = Map.empty
-  private var partitioner: HashPartitioner = _
+  private val partitioner = new HashPartitioner(16)
 
   override def load(triples: DataFrame): Unit = {
-    partitioner = new HashPartitioner(numPartitions)
     val typeP = TypeP // local copy: closures must not capture the engine
     val raw = triples.rdd.map(r => (r.getString(0), r.getString(1), r.getString(2)))
     val typeTriples = raw.filter(_._2 == typeP)
@@ -130,9 +129,8 @@ final class SparkRdf(numPartitions: Int = 16) extends SparqlEngine {
     }
   }
 
-  override def execute(q: Query): DataFrame = {
-    require(supports(q), s"${info.name} supports plain BGP only")
-    val (constraints, tps) = classConstraints(q.groups.head.patterns)
+  protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
+    val (constraints, tps) = classConstraints(ps)
 
     def est(tp: TriplePattern): Long = tp.predConst
       .map(p => predSizes.getOrElse(p, 0L))
@@ -171,8 +169,6 @@ final class SparkRdf(numPartitions: Int = 16) extends SparqlEngine {
       acc = Some(acc.fold(rdsg)(_.join(rdsg)))
     }
 
-    val session = org.apache.spark.sql.SparkSession.active
-    val result = acc.map(_.bindings).getOrElse(session.sparkContext.emptyRDD[Binding])
-    Results.applyModifiers(Results.toDf(session, result, q.resultVars), q)
+    acc.map(_.bindings).getOrElse(crc.sparkContext.emptyRDD[Binding])
   }
 }

@@ -1,7 +1,7 @@
 package repro.engines.sparqlgx
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 import repro.core._
 import repro.core.Bindings.Binding
@@ -21,7 +21,7 @@ import repro.sparql._
   *     predicates, objects) reorder the join sequence.
   *   - fragment: BGP plus DISTINCT, SORT, UNION, OPTIONAL, FILTER (BGP+).
   */
-final class SparqlGx(reorderJoins: Boolean = true) extends SparqlEngine {
+final class SparqlGx(reorderJoins: Boolean = true) extends RddBgpEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[13]",
@@ -34,13 +34,11 @@ final class SparqlGx(reorderJoins: Boolean = true) extends SparqlEngine {
     sparqlFragment = "BGP+",
   )
 
-  private var spark: SparkSession = _
   private var vertical: Map[String, RDD[(String, String)]] = Map.empty
   private var allTriples: RDD[(String, String, String)] = _
   private var stats: Stats = _
 
   override def load(triples: DataFrame): Unit = {
-    spark = triples.sparkSession
     allTriples = triples.rdd
       .map(r => (r.getString(0), r.getString(1), r.getString(2)))
       .persist(StorageLevel.MEMORY_AND_DISK)
@@ -60,7 +58,7 @@ final class SparqlGx(reorderJoins: Boolean = true) extends SparqlEngine {
   private def matchOne(tp: TriplePattern): RDD[Binding] = tp.predConst match {
     case Some(p) =>
       vertical.get(p) match {
-        case None => spark.sparkContext.emptyRDD[Binding]
+        case None => allTriples.sparkContext.emptyRDD[Binding]
         case Some(so) =>
           so.flatMap { case (s, o) =>
             Bindings.bindTriple(TriplePattern(tp.s, Const(p), tp.o), s, p, o)
@@ -69,27 +67,8 @@ final class SparqlGx(reorderJoins: Boolean = true) extends SparqlEngine {
     case None => Bindings.matchPattern(allTriples, tp)
   }
 
-  private def evalGroup(g: BasicGroup): (RDD[Binding], Set[String]) = {
-    val ordered = if (reorderJoins) stats.reorder(g.patterns) else g.patterns
-    val parts = ordered.map(tp => (matchOne(tp), tp.varSet))
-    var acc = Bindings.joinAll(parts)
-    var accVars = g.requiredVars.toSet
-    acc = Bindings.applyFilters(acc, g.filters)
-    for (opt <- g.optionals) {
-      val optParts = (if (reorderJoins) stats.reorder(opt) else opt)
-        .map(tp => (matchOne(tp), tp.varSet))
-      val optRdd = Bindings.joinAll(optParts)
-      val optVars = opt.flatMap(_.vars).toSet
-      acc = Bindings.leftJoin(acc, optRdd, (accVars intersect optVars).toSeq.sorted)
-      accVars ++= optVars
-    }
-    (acc, accVars)
-  }
-
-  override def execute(q: Query): DataFrame = {
-    val perGroup = q.groups.map(evalGroup)
-    val union = perGroup.map(_._1).reduce(_ union _)
-    val df = Results.toDf(spark, union, q.resultVars)
-    Results.applyModifiers(df, q)
+  protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
+    val ordered = if (reorderJoins) stats.reorder(ps) else ps
+    Bindings.joinAll(ordered.map(tp => (matchOne(tp), tp.varSet)))
   }
 }

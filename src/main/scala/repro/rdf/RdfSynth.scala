@@ -35,7 +35,6 @@ object RdfSynth {
     * model); `rdf:type` is special-cased there too, per that paper.
     */
   val DataProperties: Set[String] = Set("name", "age", "label", "price", "cityName")
-  val ObjectProperties: Set[String] = Set("follows", "likes", "livesIn", "category")
   val TypeProperty = "rdf:type"
 
   def social(spark: SparkSession, sf: Double = 0.01, seed: Long = 11): DataFrame = {

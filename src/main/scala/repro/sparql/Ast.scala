@@ -87,10 +87,6 @@ final case class Query(
     if (projection.nonEmpty) projection else groups.head.allVars
   def isPlainBgp: Boolean =
     groups.sizeIs == 1 && groups.head.filters.isEmpty && groups.head.optionals.isEmpty
-  /** All triple patterns across groups and optionals (for stats / pruning). */
-  def allPatterns: Vector[TriplePattern] =
-    groups.flatMap(g => g.patterns ++ g.optionals.flatten)
-  def hasVarPredicate: Boolean = allPatterns.exists(_.p.isVar)
 }
 
 /** Evaluation of FILTER expressions over a single binding.

@@ -38,6 +38,13 @@ abstract class EngineContract(engineName: String, mkEngine: () => SparqlEngine)
     assert(Set("BGP", "BGP+").contains(i.sparqlFragment))
   }
 
+  test(s"$engineName rejects every battery query outside its fragment, naming itself") {
+    for (q <- Battery.all if !engine.supports(q.query)) {
+      val e = intercept[IllegalArgumentException](engine.execute(q.query))
+      assert(e.getMessage.contains(engine.info.name), q.name)
+    }
+  }
+
   for (q <- Battery.all) {
     test(s"$engineName answers '${q.name}' exactly as the oracle") {
       assume(engine.supports(q.query), s"${q.name} outside ${engineName}'s fragment")

@@ -36,7 +36,7 @@ class S2RdfSpec extends EngineContract("S2RDF", () => new S2Rdf(sfThreshold = 0.
     val permissive = new S2Rdf(sfThreshold = 1.0)
     permissive.load(triples)
     val q = Parser.parse("SELECT ?a ?b ?n WHERE { ?a follows ?b . ?b name ?n }")
-    val sql = permissive.groupToSql(q.groups.head.patterns, Seq.empty)
+    val sql = permissive.groupToSql(q.groups.head.patterns)
     assert(sql.contains("extvp_"), sql)
   }
 
@@ -44,13 +44,13 @@ class S2RdfSpec extends EngineContract("S2RDF", () => new S2Rdf(sfThreshold = 0.
     val strict = new S2Rdf(sfThreshold = 0.0)
     strict.load(triples)
     val q = Parser.parse("SELECT ?a ?b ?n WHERE { ?a follows ?b . ?b name ?n }")
-    val sql = strict.groupToSql(q.groups.head.patterns, Seq.empty)
+    val sql = strict.groupToSql(q.groups.head.patterns)
     assert(!sql.contains("extvp_") && sql.contains("vp_"), sql)
   }
 
   test("join order puts patterns with more constants first") {
     val q = Parser.parse("SELECT ?p ?n WHERE { ?p name ?n . ?p livesIn c3 }")
-    val sql = s2rdf.groupToSql(q.groups.head.patterns, Seq.empty)
+    val sql = s2rdf.groupToSql(q.groups.head.patterns)
     // livesIn pattern has 2 constants (predicate + object) vs name's 1
     assert(sql.indexOf("livesIn") < sql.indexOf("name"), sql)
   }

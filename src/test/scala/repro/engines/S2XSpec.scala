@@ -1,6 +1,7 @@
 package repro.engines
 
 import repro.engines.s2x.S2X
+import repro.harness.Battery
 import repro.sparql.{Const, Parser, TriplePattern, Var}
 
 class S2XSpec extends EngineContract("S2X", () => new S2X()) {
@@ -33,5 +34,14 @@ class S2XSpec extends EngineContract("S2X", () => new S2X()) {
     val rows = engine.execute(q).collect().map(r => (r.getString(0), r.getString(1))).toSet
     assert(rows.forall { case (a, b) => rows.contains((b, a)) })
     assert(n == rows.size)
+  }
+
+  test("a query leaves at most one persisted RDD behind (complex-cycle)") {
+    val q = Battery.bgp.find(_.name == "complex-cycle").get.query
+    val e = engine // loaded before counting: the data graph stays persisted
+    val before = spark.sparkContext.getPersistentRDDs.size
+    val runs = 3
+    for (_ <- 1 to runs) assert(e.execute(q).count() > 0)
+    assert(spark.sparkContext.getPersistentRDDs.size - before <= runs)
   }
 }
